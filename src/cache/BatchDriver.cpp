@@ -180,7 +180,7 @@ BatchDriver::run(const std::vector<TraceJob> &Jobs, TraceCache *Cache) {
         G.FromCache = true;
         // A warm hit keeps its model's generation current, so steady-state
         // traffic never ages a live model into GC range.
-        if (Cache->config().Persist)
+        if (Cache->persistent())
           touchGeneration(Cache->dir(),
                           fingerprintModel(*Jobs[G.Members.front()].Model));
         continue;
@@ -252,7 +252,7 @@ BatchDriver::run(const std::vector<TraceJob> &Jobs, TraceCache *Cache) {
           // Generation bookkeeping for persistent stores: a fresh
           // execution mints an entry against this job's model, so record
           // the (model, key) pair for `cachectl gc --keep-generations`.
-          if (Cache->config().Persist)
+          if (Cache->persistent())
             recordEntryGeneration(Cache->dir(), fingerprintModel(*J.Model),
                                   K);
         }

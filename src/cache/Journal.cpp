@@ -2,7 +2,7 @@
 
 #include "cache/Journal.h"
 
-#include "cache/TraceCache.h" // fnv1a64, fsync policy shared with the stores
+#include "cache/EntryStore.h" // fnv1a64, fsync policy shared with the stores
 #include "support/FaultInjector.h"
 
 #include <algorithm>

@@ -2,13 +2,11 @@
 
 #include "cache/Scrub.h"
 
-#include "cache/Fingerprint.h"
-#include "cache/TraceCache.h" // envelope helpers, atomicWriteFile, quarantine
+#include "cache/EntryStore.h" // entry layout, verification, quarantine
 
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 using namespace islaris;
 using namespace islaris::cache;
@@ -18,26 +16,17 @@ namespace fs = std::filesystem;
 namespace {
 
 struct LiveEntry {
-  fs::path Path;
+  std::string Path;
   uint64_t Size = 0;
   fs::file_time_type MTime;
 };
-
-bool isHex(const std::string &S) {
-  if (S.empty())
-    return false;
-  for (char C : S)
-    if (!((C >= '0' && C <= '9') || (C >= 'a' && C <= 'f')))
-      return false;
-  return true;
-}
 
 void note(ScrubReport &R, support::ErrorCode Code, const std::string &Msg) {
   if (R.Diags.size() < 64)
     R.Diags.push_back(support::Diag::error(Code, "scrub", Msg));
 }
 
-uint64_t sizeOf(const fs::path &P) {
+uint64_t sizeOf(const std::string &P) {
   std::error_code EC;
   uint64_t S = fs::file_size(P, EC);
   return EC ? 0 : S;
@@ -47,44 +36,20 @@ uint64_t sizeOf(const fs::path &P) {
 
 ScrubReport islaris::cache::scrubStore(const ScrubOptions &O) {
   ScrubReport R;
-  fs::path Root(O.Dir);
-  std::error_code EC;
-  if (!fs::is_directory(Root, EC))
-    return R; // nothing to scrub
-
-  std::vector<LiveEntry> Live;
-  std::vector<fs::path> Files;
+  std::vector<std::string> Files;
   try {
-    fs::recursive_directory_iterator It(
-        Root, fs::directory_options::skip_permission_denied);
-    for (auto End = fs::end(It); It != End; ++It) {
-      if (It->is_directory()) {
-        // Only shard fan-out directories ("00".."ff") belong to this
-        // store's layout.  Anything else — the quarantine area (corpses
-        // kept on purpose), a sibling store nested under the same root
-        // (sidecond/ under the trace root) — is not ours: descending
-        // would "migrate" a foreign store's entries into our shards.
-        std::string D = It->path().filename().string();
-        if (!(D.size() == 2 && isHex(D)))
-          It.disable_recursion_pending();
-        continue;
-      }
-      if (It->is_regular_file())
-        Files.push_back(It->path());
-    }
+    Files = storeFiles(O.Dir);
   } catch (const fs::filesystem_error &E) {
     note(R, support::ErrorCode::IoError,
          std::string("store walk failed: ") + E.what());
     return R;
   }
 
-  for (const fs::path &P : Files) {
+  std::vector<LiveEntry> Live;
+  std::error_code EC;
+  for (const std::string &P : Files) {
     ++R.FilesScanned;
-    std::string Name = P.filename().string();
-
-    // Stale writer temp: a crash between create and rename leaves
-    // "<entry>.tmp.<pid>.<counter>" behind; it is never read, only reaped.
-    if (Name.find(".tmp.") != std::string::npos) {
+    if (isWriterTemp(P)) {
       uint64_t S = sizeOf(P);
       if (!O.DryRun)
         fs::remove(P, EC);
@@ -92,82 +57,31 @@ ScrubReport islaris::cache::scrubStore(const ScrubOptions &O) {
       R.BytesReclaimed += S;
       continue;
     }
-
-    // Entry files are "<32-hex-fingerprint>.itc|.scc"; anything else in the
-    // tree (run journals, operator notes) is left alone.
-    std::string Ext = P.extension().string();
-    std::string Stem = P.stem().string();
-    if ((Ext != ".itc" && Ext != ".scc") || Stem.size() != 32 ||
-        !isHex(Stem))
+    // Anything that is not an entry (generation registry, run journals,
+    // operator notes) is left alone.
+    if (!isEntryFile(P))
       continue;
 
-    std::string Text;
-    {
-      std::ifstream In(P, std::ios::binary);
-      if (!In) {
-        note(R, support::ErrorCode::IoError,
-             "unreadable entry file: " + P.string());
-        continue;
-      }
-      std::ostringstream Buf;
-      Buf << In.rdbuf();
-      Text = Buf.str();
-    }
-
-    std::string Payload;
-    EnvelopeResult V = unwrapDurableEntry(Text, Payload);
-    // Whatever the envelope says, the payload must carry the fingerprint
-    // the filename promises — a renamed or cross-linked entry would
-    // otherwise verify cleanly and then serve the wrong key.
-    bool KeyOk = (V == EnvelopeResult::Ok || V == EnvelopeResult::Legacy) &&
-                 Payload.find(Stem) != std::string::npos;
-    if (!KeyOk) {
-      support::ErrorCode Code =
-          (V == EnvelopeResult::Ok || V == EnvelopeResult::Legacy)
-              ? support::ErrorCode::CorruptCacheEntry
-              : envelopeErrorCode(V);
-      uint64_t S = sizeOf(P);
-      if (!O.DryRun)
-        quarantineFile(Root.string(), P.string());
-      ++R.Quarantined;
-      R.BytesReclaimed += S;
-      note(R, Code, "quarantined corrupt entry: " + P.string());
-      continue;
-    }
-
-    fs::path ShardPath = Root / Stem.substr(0, 2) / (Stem + Ext);
-    bool Misplaced = fs::weakly_canonical(P, EC) !=
-                     fs::weakly_canonical(ShardPath, EC);
-    if (V == EnvelopeResult::Ok && !Misplaced) {
+    support::ErrorCode Code;
+    std::string Why;
+    switch (checkEntryFile(O.Dir, P, Code, Why)) {
+    case EntryCheck::Sound:
       Live.push_back({P, sizeOf(P), fs::last_write_time(P, EC)});
       ++R.OkEntries;
-      continue;
+      break;
+    case EntryCheck::Unreadable:
+      note(R, support::ErrorCode::IoError, "unreadable entry file: " + P);
+      break;
+    case EntryCheck::Defective: {
+      uint64_t S = sizeOf(P);
+      if (!O.DryRun)
+        quarantineFile(O.Dir, P);
+      ++R.Quarantined;
+      R.BytesReclaimed += S;
+      note(R, Code, "quarantined " + Why + ": " + P);
+      break;
     }
-
-    // Legacy in format (headerless payload), placement (flat at the store
-    // root), or both: republish as an enveloped entry in its shard.  The
-    // sharded twin wins if one already exists — entries are immutable, so
-    // content is interchangeable.
-    ++R.LegacyMigrated;
-    if (O.DryRun) {
-      Live.push_back({P, sizeOf(P), fs::last_write_time(P, EC)});
-      continue;
     }
-    bool Published = fs::exists(ShardPath, EC);
-    if (!Published) {
-      fs::create_directories(ShardPath.parent_path(), EC);
-      Published = atomicWriteFile(ShardPath.string(), wrapDurableEntry(Payload));
-    }
-    if (!Published) {
-      note(R, support::ErrorCode::IoError,
-           "could not migrate legacy entry: " + P.string());
-      Live.push_back({P, sizeOf(P), fs::last_write_time(P, EC)});
-      continue;
-    }
-    if (Misplaced)
-      fs::remove(P, EC);
-    Live.push_back(
-        {ShardPath, sizeOf(ShardPath), fs::last_write_time(ShardPath, EC)});
   }
 
   for (const LiveEntry &E : Live)
@@ -219,9 +133,8 @@ void islaris::cache::clearCleanShutdownMarker(const std::string &Dir) {
 QuickScrubReport islaris::cache::scrubOnOpen(const std::string &Dir,
                                              size_t MaxSpotChecks) {
   QuickScrubReport R;
-  fs::path Root(Dir);
   std::error_code EC;
-  if (!fs::is_directory(Root, EC))
+  if (!fs::is_directory(Dir, EC))
     return R;
   if (hasCleanShutdownMarker(Dir)) {
     // The previous owner drained cleanly; consume the marker (this store is
@@ -238,55 +151,31 @@ QuickScrubReport islaris::cache::scrubOnOpen(const std::string &Dir,
                                       support::Severity::Warning));
   };
 
+  std::vector<std::string> Files;
   try {
-    fs::recursive_directory_iterator It(
-        Root, fs::directory_options::skip_permission_denied);
-    for (auto End = fs::end(It); It != End; ++It) {
-      if (It->is_directory()) {
-        std::string D = It->path().filename().string();
-        if (!(D.size() == 2 && isHex(D)))
-          It.disable_recursion_pending(); // quarantine/, nested stores
-        continue;
-      }
-      if (!It->is_regular_file())
-        continue;
-      const fs::path &P = It->path();
-      std::string Name = P.filename().string();
-      if (Name.find(".tmp.") != std::string::npos) {
-        // A crashed writer's temp: never read, only reaped.
-        fs::remove(P, EC);
-        ++R.TempsRemoved;
-        continue;
-      }
-      std::string Ext = P.extension().string();
-      std::string Stem = P.stem().string();
-      if ((Ext != ".itc" && Ext != ".scc") || Stem.size() != 32 ||
-          !isHex(Stem))
-        continue;
-      if (R.EntriesChecked >= MaxSpotChecks)
-        continue; // keep reaping temps, stop opening entries
-      ++R.EntriesChecked;
-      std::string Text;
-      {
-        std::ifstream In(P, std::ios::binary);
-        if (!In)
-          continue;
-        std::ostringstream Buf;
-        Buf << In.rdbuf();
-        Text = Buf.str();
-      }
-      std::string Payload;
-      EnvelopeResult V = unwrapDurableEntry(Text, Payload);
-      if (V == EnvelopeResult::Ok || V == EnvelopeResult::Legacy)
-        continue;
-      quarantineFile(Root.string(), P.string());
-      ++R.Quarantined;
-      Note(envelopeErrorCode(V),
-           "scrub-on-open quarantined corrupt entry: " + P.string());
-    }
+    Files = storeFiles(Dir);
   } catch (const fs::filesystem_error &E) {
     Note(support::ErrorCode::IoError,
          std::string("scrub-on-open walk failed: ") + E.what());
+    return R;
+  }
+  for (const std::string &P : Files) {
+    if (isWriterTemp(P)) {
+      // A crashed writer's temp: never read, only reaped.
+      fs::remove(P, EC);
+      ++R.TempsRemoved;
+      continue;
+    }
+    if (!isEntryFile(P) || R.EntriesChecked >= MaxSpotChecks)
+      continue; // keep reaping temps, stop opening entries
+    ++R.EntriesChecked;
+    support::ErrorCode Code;
+    std::string Why;
+    if (checkEntryFile(Dir, P, Code, Why) != EntryCheck::Defective)
+      continue;
+    quarantineFile(Dir, P);
+    ++R.Quarantined;
+    Note(Code, "scrub-on-open quarantined " + Why + ": " + P);
   }
   return R;
 }

@@ -6,14 +6,13 @@
 ///
 /// \file
 /// The offline maintenance pass over a persistent store directory
-/// (TraceCache or SideCondStore — both share the entry envelope and the
-/// sharded layout, so one scrubber serves both).  A scrub:
+/// (TraceCache or SideCondStore — the entry layout and envelope live in
+/// cache/EntryStore.h, so one scrubber serves both).  A scrub:
 ///
 ///   - reaps stale ".tmp." files left by crashed writers,
-///   - verifies every entry's durability envelope, quarantining files whose
-///     checksum, version, or embedded key does not hold,
-///   - migrates legacy files — headerless payloads and flat-layout
-///     placement — into checksummed entries in their proper shard,
+///   - verifies every entry file (EntryStore's checkEntryFile), quarantining
+///     files whose checksum, version, embedded key, or placement does not
+///     hold — headerless files and entries outside their shard included,
 ///   - enforces an optional size budget by evicting least-recently-touched
 ///     entries (LRU by mtime; readers re-derive evicted results, so
 ///     eviction is always safe).
@@ -49,10 +48,8 @@ struct ScrubOptions {
 
 struct ScrubReport {
   uint64_t FilesScanned = 0;   ///< Regular files visited (excl. quarantine/).
-  uint64_t OkEntries = 0;      ///< Entries whose envelope verified.
-  uint64_t LegacyMigrated = 0; ///< Headerless and/or flat-layout entries
-                               ///< rewritten as enveloped sharded files.
-  uint64_t Quarantined = 0;    ///< Corrupt files moved to quarantine/.
+  uint64_t OkEntries = 0;      ///< Entries that verified in place.
+  uint64_t Quarantined = 0;    ///< Defective files moved to quarantine/.
   uint64_t TempsRemoved = 0;   ///< Stale writer temp files reaped.
   uint64_t Evicted = 0;        ///< Entries evicted by the size budget.
   uint64_t BytesReclaimed = 0; ///< Bytes freed by reaping + eviction.
@@ -72,7 +69,7 @@ ScrubReport scrubStore(const ScrubOptions &O);
 // store opened with ScrubOnOpen enabled consumes the marker (the store is
 // in use again — a crash from here leaves it absent) and, when the marker
 // is MISSING, runs a quick scrub first: reap stale writer temps and
-// spot-check a bounded sample of entry envelopes, quarantining corruption
+// spot-check a bounded sample of entry files, quarantining defects
 // before the first read can trip over it.  Entry publishing is atomic
 // first-writer-wins, so an unclean shutdown can only leave temps and torn
 // files — exactly what the quick pass looks for.
@@ -94,15 +91,15 @@ struct QuickScrubReport {
   /// True when the marker was present and consumed.
   bool WasClean = false;
   uint64_t TempsRemoved = 0;
-  uint64_t EntriesChecked = 0; ///< Envelopes spot-checked.
+  uint64_t EntriesChecked = 0; ///< Entry files spot-checked.
   uint64_t Quarantined = 0;    ///< Spot-checked entries that failed.
   std::vector<support::Diag> Diags;
 };
 
 /// The scrub-on-open pass: consumes the clean-shutdown marker if present
 /// (skipping the scrub), otherwise reaps every stale ".tmp." file and
-/// verifies the envelopes of up to \p MaxSpotChecks entries, quarantining
-/// failures.  Bounded by design — this runs on the open path.
+/// verifies up to \p MaxSpotChecks entry files, quarantining failures.
+/// Bounded by design — this runs on the open path.
 QuickScrubReport scrubOnOpen(const std::string &Dir,
                              size_t MaxSpotChecks = 32);
 

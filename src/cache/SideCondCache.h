@@ -11,70 +11,35 @@
 ///
 /// Keys are 128-bit fingerprints over the solver's canonical *printed* goal
 /// closure (sorted goals plus sorted free-variable declarations — see
-/// Solver::printGoalClosure) salted with a model hash, normally
-/// cache::fingerprintModel of the ISA model in play.  The printed form is
-/// builder-independent, so a key matches across TermBuilders, processes,
-/// and runs; the salt means editing the ISA model invalidates every entry
-/// — a stale cache can only miss, never lie.  Queries whose printed form
-/// would be ambiguous (duplicate variable names) never reach this store.
+/// Solver::printGoalClosure).  The printed form is builder-independent, so
+/// a key matches across TermBuilders, processes, and runs.  Queries
+/// discharged against an ISA model arrive through a SaltedSolverCache,
+/// whose closure prefix carries cache::fingerprintModel of that model, so
+/// editing the model invalidates its entries — a stale cache can only
+/// miss, never lie.  Queries whose printed form would be ambiguous
+/// (duplicate variable names) never reach this store.
 ///
 /// Entries record the Sat/Unsat verdict and, for Sat, a full model of the
 /// closure's variables by (name, width, value), so a hit restores
-/// modelValue() behavior identical to a cold solve.  Disk layout follows
-/// the trace cache: one file per entry under a directory (default
-/// resolveCacheDir() + "/sidecond"), sharded into 256 fan-out
-/// subdirectories on the leading fingerprint byte (legacy flat stores are
-/// still read), written atomically, first writer wins, corrupt entries
-/// degrade to misses.
+/// modelValue() behavior identical to a cold solve.  Storage is a
+/// cache::EntryStore, like the trace cache's, under its own directory
+/// (default resolveCacheDir() + "/sidecond"); this class is the codec.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef ISLARIS_CACHE_SIDECONDCACHE_H
 #define ISLARIS_CACHE_SIDECONDCACHE_H
 
-#include "cache/Fingerprint.h"
+#include "cache/EntryStore.h"
 #include "smt/Solver.h"
-#include "support/Diag.h"
-
-#include <atomic>
-#include <mutex>
-#include <optional>
-#include <unordered_map>
-#include <vector>
 
 namespace islaris::cache {
 
-/// Counters of store behavior, surfaced through bench_fig12.
-struct SideCondStats {
-  uint64_t Hits = 0;       ///< In-memory lookups that found an entry.
-  uint64_t DiskHits = 0;   ///< Memory misses satisfied from disk.
-  uint64_t Misses = 0;     ///< Lookups satisfied nowhere.
-  uint64_t Insertions = 0; ///< store() calls that added a new entry.
-  uint64_t DiskWrites = 0; ///< Entry files written.
-  /// Corrupt on-disk entries displaced on read (self-repair; see
-  /// CacheStats::CorruptRemoved).
-  uint64_t CorruptRemoved = 0;
-  /// Corrupt entries preserved under dir()/quarantine/ (a subset of
-  /// CorruptRemoved).
-  uint64_t Quarantined = 0;
-  /// Entry publishes that failed (see CacheStats::WriteFailures; islarisd's
-  /// degraded-mode detector watches both stores).
-  uint64_t WriteFailures = 0;
-};
-
 struct SideCondConfig {
-  /// Bound on in-memory entries (entries are small: a verdict plus a few
-  /// model values).  Past the bound new results are still written to disk
-  /// (when persistent) but not kept in memory.
-  size_t MaxEntries = 1 << 16;
   /// Also read/write entries under dir() (one file per fingerprint).
   bool Persist = false;
   /// Store directory; empty means resolveCacheDir() + "/sidecond".
   std::string Dir;
-  /// Salt mixed into every key; pass cache::fingerprintModel(...) of the
-  /// ISA model(s) the side conditions are discharged against, so model
-  /// edits invalidate the store wholesale.
-  Fingerprint ModelSalt;
   /// Run the clean-shutdown-marker protocol on construction (see
   /// cache/Scrub.h).  Same contract as TraceCacheConfig::ScrubOnOpen.
   bool ScrubOnOpen = false;
@@ -84,41 +49,31 @@ struct SideCondConfig {
 /// instance is shared by every solver of a run (suite harnesses install it
 /// as the ambient store); all state sits behind one mutex, disk I/O
 /// happens outside it.
-class SideCondStore : public smt::SolverCache {
+class SideCondStore : public smt::SolverCache,
+                      private EntryStore<smt::SolverCache::CachedResult> {
 public:
   explicit SideCondStore(SideCondConfig C = SideCondConfig());
 
-  SideCondStore(const SideCondStore &) = delete;
-  SideCondStore &operator=(const SideCondStore &) = delete;
-
   std::optional<CachedResult> lookup(const std::string &Closure) override;
+  /// Stores \p R under \p Closure's key.  A newly published entry of a
+  /// SaltedSolverCache closure is recorded in its model's generation
+  /// manifest (cache/Generations.h).
   void store(const std::string &Closure, const CachedResult &R) override;
 
-  /// Drops all in-memory entries (disk files are kept).  Counters survive.
-  /// Lets one process demonstrate a cold-disk warm start.
-  void clearMemory();
+  /// Same contracts as on TraceCache (see EntryStore); clearMemory lets one
+  /// process demonstrate a cold-disk warm start.
+  using EntryStore::clearMemory;
+  using EntryStore::diskDisabled;
+  using EntryStore::dir;
+  using EntryStore::drainDiags;
+  using EntryStore::setDiskDisabled;
+  using EntryStore::size;
+  using EntryStore::stats;
 
-  size_t size() const;
-  SideCondStats stats() const;
-  const SideCondConfig &config() const { return Cfg; }
-  const std::string &dir() const { return Directory; }
+  /// The fingerprint \p Closure is stored under.
+  static Fingerprint key(const std::string &Closure);
 
-  /// Degraded-mode switch; same contract as TraceCache::setDiskDisabled
-  /// (memory keeps serving, disk is left alone until re-enabled).
-  void setDiskDisabled(bool Off) {
-    DiskDisabled.store(Off, std::memory_order_relaxed);
-  }
-  bool diskDisabled() const {
-    return DiskDisabled.load(std::memory_order_relaxed);
-  }
-  /// Returns and clears disk-I/O diagnostics (bounded to 64 between
-  /// drains); same contract as TraceCache::drainDiags.
-  std::vector<support::Diag> drainDiags();
-
-  /// The fingerprint \p Closure is stored under (closure + salt).
-  Fingerprint key(const std::string &Closure) const;
-
-  /// The on-disk entry format, one line:
+  /// The entry payload, one line:
   ///   (islaris-sidecond-cache 1 <keyhex> (result sat|unsat)
   ///    (model (|name| width #x..|#b..) ...))
   static std::string serializeEntry(const Fingerprint &K,
@@ -126,36 +81,13 @@ public:
   /// Inverse of serializeEntry; checks the embedded key against \p K.
   static bool parseEntry(const std::string &Text, const Fingerprint &K,
                          CachedResult &Out, std::string &Err);
-
-private:
-  /// Sharded path of \p K: dir/<first hex byte>/<hex>.scc.
-  std::string entryPath(const Fingerprint &K) const;
-  /// Pre-sharding flat path (dir/<hex>.scc), still honored on read.
-  std::string legacyEntryPath(const Fingerprint &K) const;
-  std::optional<CachedResult> loadFromDisk(const Fingerprint &K);
-  /// Returns true when this call published a new entry file.
-  bool writeToDisk(const Fingerprint &K, const CachedResult &R);
-  void discardCorrupt(const std::string &Path, support::ErrorCode Code,
-                      const std::string &Why);
-  void noteWriteFailure(const std::string &Path);
-
-  SideCondConfig Cfg;
-  std::string Directory;
-
-  mutable std::mutex Mu;
-  std::atomic<bool> DiskDisabled{false};
-  bool WarnedUnwritable = false;
-  std::vector<support::Diag> Diags;
-  std::unordered_map<Fingerprint, CachedResult, FingerprintHash> Map;
-  SideCondStats St;
 };
 
 /// A zero-copy view of another SolverCache that prefixes every closure with
-/// a fingerprint salt before delegating.  Lets one shared store (whose own
-/// ModelSalt stays neutral) serve queries discharged against different ISA
-/// models — the batch driver wraps the suite store in the fingerprint of
-/// each job's model, so an aarch64 pruning query can never answer a riscv64
-/// one.  Stateless beyond the prefix; safe to construct per job.
+/// a fingerprint salt before delegating.  Lets one shared store serve
+/// queries discharged against different ISA models — the batch driver
+/// wraps the suite store in the fingerprint of each job's model, so an
+/// aarch64 pruning query can never answer a riscv64 one.  Stateless beyond the prefix; safe to construct per job.
 class SaltedSolverCache : public smt::SolverCache {
 public:
   SaltedSolverCache(smt::SolverCache &Inner, const Fingerprint &Salt)

@@ -2,7 +2,7 @@
 
 #include "server/Protocol.h"
 
-#include "cache/TraceCache.h" // fnv1a64, shared with the journal codec
+#include "cache/EntryStore.h" // fnv1a64, shared with the journal codec
 #include "support/Wire.h"
 
 #include <cinttypes>
@@ -261,9 +261,6 @@ bool islaris::server::decodeRequest(const std::string &Payload, Request &Out) {
   } else if (Kind == "reload") {
     Out.K = Request::Kind::Reload;
   } else {
-    // A protocol-2 server lands here for "health"/"reload" and answers
-    // with its malformed-request error frame — the negotiated downgrade
-    // the v3 client expects.
     return false;
   }
   return !C.Fail;
@@ -362,16 +359,12 @@ void islaris::server::decodeRejectBody(const std::string &Body,
                                        std::string &Reason,
                                        uint64_t &RetryAfterMs) {
   Cursor C(Body);
-  std::string R = C.str();
+  Reason = C.str();
+  RetryAfterMs = C.u64();
   if (C.Fail) {
-    // Legacy bare-string reason; no hint.
-    Reason = Body;
+    Reason.clear();
     RetryAfterMs = 0;
-    return;
   }
-  Reason = R;
-  uint64_t RA = C.u64();
-  RetryAfterMs = C.Fail ? 0 : RA;
 }
 
 std::string islaris::server::encodeDone(const DoneInfo &D) {

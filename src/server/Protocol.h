@@ -60,19 +60,13 @@
 
 namespace islaris::server {
 
-/// Protocol version spoken by hello/welcome.  Version 2 (PR 8) added
-/// heartbeat frames, request deadlines, and retry-after hints on
-/// rejections.  Version 3 (PR 10) added the `health` readiness probe and
-/// the `reload` hot-model-reload request.
+/// Protocol version spoken by hello/welcome.  islarisd and its clients ship
+/// from one tree, so both sides require the same version: a hello naming
+/// any other is answered with an `error` frame and a close.  Version 2
+/// added heartbeat frames, request deadlines, and retry-after hints on
+/// rejections; version 3 added the `health` readiness probe and the
+/// `reload` hot-model-reload request.
 inline constexpr uint64_t ProtocolVersion = 3;
-
-/// Oldest protocol the server still accepts in a hello.  Version 3 is a
-/// strict superset of 2 (two new request kinds, one new response frame
-/// that only v3 requests elicit), so a v2 peer negotiates and works
-/// unchanged; a v2 *server* answers the new kinds with its existing
-/// malformed-request error frame, which is exactly what a v3 client
-/// treats as "no health endpoint here".
-inline constexpr uint64_t MinProtocolVersion = 2;
 
 /// Hard bound on a frame payload; a header advertising more is malformed
 /// (protects the reader from allocating on behalf of a corrupt length
@@ -206,8 +200,8 @@ bool decodeHello(const std::string &Payload, HelloInfo &Out);
 /// `rejected` body codec (the body inside the id-tagged payload): a
 /// human-readable reason plus a machine retry-after hint.  RetryAfterMs 0
 /// means "do not retry — the request itself is invalid"; nonzero marks a
-/// load shed worth retrying after the hinted delay.  decodeRejectBody
-/// tolerates a bare legacy reason string (hint degrades to 0).
+/// load shed worth retrying after the hinted delay.  A body that does not
+/// decode yields an empty reason and no hint.
 std::string encodeRejectBody(const std::string &Reason,
                              uint64_t RetryAfterMs);
 void decodeRejectBody(const std::string &Body, std::string &Reason,

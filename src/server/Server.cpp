@@ -67,10 +67,6 @@ struct Conn {
   std::atomic<uint32_t> InFlight{0};
   /// Connection-default request deadline from the hello (0 = none).
   std::atomic<uint64_t> DefaultDeadlineMs{0};
-  /// Protocol version negotiated at hello: min(client's, ours).  Gates the
-  /// protocol-3 request kinds so a v2 peer sees exactly the protocol-2
-  /// behavior it negotiated.
-  std::atomic<uint64_t> Version{ProtocolVersion};
   std::thread Reader;
 };
 
@@ -471,23 +467,17 @@ struct Server::Impl {
     switch (F.Type) {
     case FrameType::Hello: {
       HelloInfo H;
-      if (!decodeHello(F.Payload, H) || H.Version < MinProtocolVersion ||
-          H.Version > ProtocolVersion) {
+      if (!decodeHello(F.Payload, H) || H.Version != ProtocolVersion) {
         sendFrame(*C, FrameType::Error,
                   "unsupported protocol version " + std::to_string(H.Version) +
-                      " (server speaks " +
-                      std::to_string(MinProtocolVersion) + ".." +
-                      std::to_string(ProtocolVersion) + ")");
+                      " (server speaks " + std::to_string(ProtocolVersion) +
+                      ")");
         return false;
       }
       C->DefaultDeadlineMs.store(H.DefaultDeadlineMs,
                                  std::memory_order_relaxed);
-      C->Version.store(H.Version, std::memory_order_relaxed);
       std::ostringstream OS;
-      // The welcome echoes the negotiated version — min(client's, ours) —
-      // not the server's own, so a protocol-2 peer keeps speaking the
-      // protocol it knows.
-      support::wire::putU64(OS, H.Version);
+      support::wire::putU64(OS, ProtocolVersion);
       support::wire::putU64(OS, uint64_t(::getpid()));
       support::wire::putStr(OS, "islarisd");
       return sendFrame(*C, FrameType::Welcome, OS.str());
@@ -505,15 +495,6 @@ struct Server::Impl {
     case FrameType::Request: {
       Request R;
       if (!decodeRequest(F.Payload, R)) {
-        bump(&ServerStats::Malformed);
-        sendFrame(*C, FrameType::Error, "malformed request payload");
-        return false;
-      }
-      // Protocol-3 request kinds on a protocol-2 connection get exactly
-      // what a real protocol-2 server would answer: its decoder cannot
-      // parse them, so it reports a malformed payload and closes.
-      if ((R.K == Request::Kind::Health || R.K == Request::Kind::Reload) &&
-          C->Version.load(std::memory_order_relaxed) < 3) {
         bump(&ServerStats::Malformed);
         sendFrame(*C, FrameType::Error, "malformed request payload");
         return false;
@@ -975,53 +956,44 @@ struct Server::Impl {
     if (Abandoned)
       return;
 
-    if (auto E = Cache->lookup(G.Key)) {
-      Ok = true;
-      EntryText = cache::TraceCache::serializeEntry(G.Key, *E);
-      bump(&ServerStats::WarmHits);
+    cache::BatchDriver BD(1);
+    cache::DriverOptions DO;
+    DO.JobTimeoutSeconds = Cfg.Limits.JobTimeoutSeconds;
+    DO.MaxRetries = Cfg.Limits.JobRetries;
+    // Deadline propagation: the watchdog (a driver knob, not part of the
+    // fingerprinted ExecOptions — cache keys stay bit-identical) is
+    // tightened to the most patient live waiter, so execution nobody will
+    // wait out is cut off rather than run to the configured cap.
+    if (AllBounded) {
+      double Bound = MaxLeft < 0.05 ? 0.05 : MaxLeft;
+      if (DO.JobTimeoutSeconds <= 0 || Bound < DO.JobTimeoutSeconds)
+        DO.JobTimeoutSeconds = Bound;
+    }
+    BD.setOptions(DO);
+    cache::TraceJob TJ;
+    TJ.Model = G.Model.get();
+    TJ.ArchName = G.Arch;
+    TJ.Op = G.Op;
+    TJ.Assume = &G.Assume;
+    TJ.Opts = G.Opts;
+    TJ.SideCond = SideCond.get();
+    // The driver serves warm keys from the cache and executes the rest:
+    // one lookup per request.
+    auto R = BD.run({TJ}, Cache.get());
+    const cache::TraceJobResult &TR = R.front();
+    bool Warm = TR.Source == cache::ResultSource::CacheHit;
+    if (!Warm && Cfg.ExecDelaySeconds > 0)
+      std::this_thread::sleep_for(
+          std::chrono::duration<double>(Cfg.ExecDelaySeconds));
+    Ok = TR.Ok;
+    Attempts = TR.Attempts;
+    if (!Ok) {
+      Error = TR.Error;
+      Status = support::isInfrastructureError(TR.D.Code) ? 2 : 1;
     } else {
-      if (Cfg.ExecDelaySeconds > 0)
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(Cfg.ExecDelaySeconds));
-      cache::BatchDriver BD(1);
-      cache::DriverOptions DO;
-      DO.JobTimeoutSeconds = Cfg.Limits.JobTimeoutSeconds;
-      DO.MaxRetries = Cfg.Limits.JobRetries;
-      // Deadline propagation: the watchdog (a driver knob, not part of the
-      // fingerprinted ExecOptions — cache keys stay bit-identical) is
-      // tightened to the most patient live waiter, so execution nobody
-      // will wait out is cut off rather than run to the configured cap.
-      if (AllBounded) {
-        double Bound = MaxLeft < 0.05 ? 0.05 : MaxLeft;
-        if (DO.JobTimeoutSeconds <= 0 || Bound < DO.JobTimeoutSeconds)
-          DO.JobTimeoutSeconds = Bound;
-      }
-      BD.setOptions(DO);
-      cache::TraceJob TJ;
-      TJ.Model = G.Model.get();
-      TJ.ArchName = G.Arch;
-      TJ.Op = G.Op;
-      TJ.Assume = &G.Assume;
-      TJ.Opts = G.Opts;
-      TJ.SideCond = SideCond.get();
-      auto R = BD.run({TJ}, Cache.get());
-      const cache::TraceJobResult &TR = R.front();
-      Ok = TR.Ok;
-      Attempts = TR.Attempts;
-      if (Ok) {
-        EntryText = cache::TraceCache::serializeEntry(TR.Key, TR.Entry);
-        if (TR.Source == cache::ResultSource::CacheHit) {
-          // Another worker published the key between our lookup and the
-          // driver's: a warm hit after all.
-          bump(&ServerStats::WarmHits);
-        } else {
-          Fresh = true;
-          bump(&ServerStats::Executed);
-        }
-      } else {
-        Error = TR.Error;
-        Status = support::isInfrastructureError(TR.D.Code) ? 2 : 1;
-      }
+      EntryText = cache::TraceCache::serializeEntry(TR.Key, TR.Entry);
+      Fresh = !Warm;
+      bump(Warm ? &ServerStats::WarmHits : &ServerStats::Executed);
     }
 
     // Retire the group *before* fanning out, so a request arriving during
@@ -1331,7 +1303,7 @@ struct Server::Impl {
     }
     HealthInfo H = healthSnapshotImpl();
     cache::CacheStats CS = Cache->stats();
-    cache::SideCondStats SS = SideCond->stats();
+    cache::CacheStats SS = SideCond->stats();
     std::ostringstream OS;
     OS << "{\"uptime_seconds\":" << secondsSince(StartedAt)
        << ",\"connections\":" << S.Connections

@@ -83,9 +83,10 @@ struct ServerConfig {
   std::string CacheDir;
   /// In-memory LRU bound of the resident trace cache.
   size_t CacheMaxEntries = 4096;
-  /// Test hook: artificial seconds of latency added to each *fresh*
-  /// execution, giving dedup/fairness tests a deterministic window in
-  /// which to race a second client against an in-flight request.
+  /// Test hook: artificial seconds of latency added after each *fresh*
+  /// execution, before its waiters are answered, giving dedup/fairness
+  /// tests a deterministic window in which to race a second client against
+  /// an in-flight request.
   double ExecDelaySeconds = 0;
 
   //===--- Hostile-network hardening (PR 8) -------------------------------===//

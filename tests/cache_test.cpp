@@ -408,69 +408,6 @@ TEST(TraceCacheTest, PersistsAcrossCacheInstances) {
   EXPECT_EQ(V3.genStats().Executed, 2u);
 }
 
-// Satellite regression: entries are sharded into 256 fan-out
-// subdirectories keyed on the leading fingerprint byte, and a store laid
-// out flat by an older version is still read transparently.
-TEST(TraceCacheTest, ShardedLayoutAndLegacyReadThrough) {
-  TempDir Tmp;
-  TraceCacheConfig Cfg;
-  Cfg.Persist = true;
-  Cfg.Dir = Tmp.Path.string();
-
-  // The generation registry and its manifests live alongside the entries
-  // but are not entries; the layout assertions below apply only to entry
-  // files.
-  auto IsBookkeeping = [](const std::filesystem::path &P) {
-    return P.filename() == "generations.txt" ||
-           P.parent_path().filename() == "manifests";
-  };
-
-  std::string Err;
-  {
-    TraceCache C(Cfg);
-    Verifier V(frontend::aarch64());
-    V.setTraceCache(&C);
-    setupVerifier(V);
-    ASSERT_TRUE(V.generateTraces(Err)) << Err;
-    EXPECT_EQ(C.stats().DiskWrites, 2u);
-  }
-
-  // Every entry file sits one level deep, in a subdirectory named by the
-  // first two hex characters of its own fingerprint.
-  unsigned Files = 0;
-  for (const auto &F :
-       std::filesystem::recursive_directory_iterator(Tmp.Path)) {
-    if (!F.is_regular_file() || IsBookkeeping(F.path()))
-      continue;
-    ++Files;
-    std::string Name = F.path().filename().string();
-    std::string Shard = F.path().parent_path().filename().string();
-    EXPECT_EQ(Shard.size(), 2u);
-    EXPECT_EQ(Name.substr(0, 2), Shard);
-  }
-  EXPECT_EQ(Files, 2u);
-
-  // Flatten the store into the legacy layout; a fresh instance must still
-  // serve every entry from disk.
-  std::vector<std::filesystem::path> Entries;
-  for (const auto &F :
-       std::filesystem::recursive_directory_iterator(Tmp.Path))
-    if (F.is_regular_file() && !IsBookkeeping(F.path()))
-      Entries.push_back(F.path());
-  for (const auto &P : Entries)
-    std::filesystem::rename(P, Tmp.Path / P.filename());
-  TraceCache C2(Cfg);
-  Verifier V2(frontend::aarch64());
-  V2.setTraceCache(&C2);
-  setupVerifier(V2);
-  ASSERT_TRUE(V2.generateTraces(Err)) << Err;
-  EXPECT_EQ(V2.genStats().Executed, 0u);
-  EXPECT_EQ(C2.stats().DiskHits, 2u);
-  // First-writer-wins extends across layouts: the legacy files already
-  // hold these entries, so nothing is rewritten into the shards.
-  EXPECT_EQ(C2.stats().DiskWrites, 0u);
-}
-
 TEST(TraceCacheTest, CacheDirResolution) {
   ::setenv("ISLARIS_CACHE_DIR", "/tmp/islaris-override", 1);
   EXPECT_EQ(resolveCacheDir(), "/tmp/islaris-override");
@@ -548,12 +485,14 @@ TEST(SideCondTest, EntrySerializationRoundTrips) {
   EXPECT_TRUE(Out.Model.empty());
 }
 
-TEST(SideCondTest, ModelSaltSeparatesKeys) {
-  SideCondConfig A, B;
-  B.ModelSalt = Fingerprinter().str("other-model").digest();
-  SideCondStore SA(A), SB(B);
-  EXPECT_NE(SA.key("(goal-closure 1)"), SB.key("(goal-closure 1)"));
-  EXPECT_EQ(SA.key("(goal-closure 1)"), SA.key("(goal-closure 1)"));
+// Keys are part of the on-disk contract: a changed derivation would orphan
+// every existing store.  Model separation lives in the closure prefix.
+TEST(SideCondTest, KeysArePinnedAndSaltedByClosurePrefix) {
+  EXPECT_EQ(SideCondStore::key("(goal-closure 1)").toHex(),
+            "78f5acf065aba82a5194471417630690");
+  Fingerprint M = Fingerprinter().str("some-model").digest();
+  EXPECT_NE(SideCondStore::key("(salt " + M.toHex() + ") (goal-closure 1)"),
+            SideCondStore::key("(goal-closure 1)"));
 }
 
 TEST(SideCondTest, PersistsAcrossStoreInstances) {
@@ -606,53 +545,6 @@ TEST(SideCondTest, PersistsAcrossStoreInstances) {
   ASSERT_EQ(S2.check(), smt::Result::Sat);
   EXPECT_EQ(S2.stats().NumSatCalls, 1u);
   EXPECT_EQ(Store3.stats().Misses, 1u);
-}
-
-// Satellite regression: side-condition entries use the same 256-way
-// sharded layout as the trace cache and read legacy flat stores through.
-TEST(SideCondTest, ShardedLayoutAndLegacyReadThrough) {
-  TempDir Tmp;
-  SideCondConfig Cfg;
-  Cfg.Persist = true;
-  Cfg.Dir = Tmp.Path.string();
-
-  {
-    SideCondStore Store(Cfg);
-    smt::TermBuilder TB;
-    smt::Solver S(TB);
-    S.setCache(&Store);
-    const smt::Term *X = TB.freshVar(smt::Sort::bitvec(16), "x");
-    S.assertTerm(TB.eqTerm(TB.bvAdd(X, TB.constBV(16, 3)),
-                           TB.constBV(16, 10)));
-    ASSERT_EQ(S.check(), smt::Result::Sat);
-    EXPECT_EQ(Store.stats().DiskWrites, 1u);
-  }
-
-  // The entry landed in a two-hex-character shard subdirectory matching
-  // its own fingerprint prefix; then flatten it to the legacy layout and
-  // check a fresh store still answers from disk.
-  std::vector<std::filesystem::path> Entries;
-  for (const auto &F :
-       std::filesystem::recursive_directory_iterator(Tmp.Path))
-    if (F.is_regular_file())
-      Entries.push_back(F.path());
-  for (const auto &P : Entries) {
-    std::string Name = P.filename().string();
-    std::string Shard = P.parent_path().filename().string();
-    EXPECT_EQ(Shard.size(), 2u);
-    EXPECT_EQ(Name.substr(0, 2), Shard);
-    std::filesystem::rename(P, Tmp.Path / Name);
-  }
-  SideCondStore Store2(Cfg);
-  smt::TermBuilder TB;
-  smt::Solver S(TB);
-  S.setCache(&Store2);
-  const smt::Term *X = TB.freshVar(smt::Sort::bitvec(16), "x");
-  S.assertTerm(TB.eqTerm(TB.bvAdd(X, TB.constBV(16, 3)),
-                         TB.constBV(16, 10)));
-  ASSERT_EQ(S.check(), smt::Result::Sat);
-  EXPECT_EQ(S.stats().NumSatCalls, 0u);
-  EXPECT_EQ(Store2.stats().DiskHits, 1u);
 }
 
 // Satellite regression: concurrent writers racing on the SAME keys from
@@ -804,9 +696,9 @@ TEST(EnvelopeTest, WrapUnwrapAndFailureTaxonomy) {
   EXPECT_EQ(unwrapDurableEntry(File, Out), EnvelopeResult::Ok);
   EXPECT_EQ(Out, Payload);
 
-  // Headerless pre-envelope files pass through as Legacy, byte-identical.
-  EXPECT_EQ(unwrapDurableEntry(Payload, Out), EnvelopeResult::Legacy);
-  EXPECT_EQ(Out, Payload);
+  // A file without the envelope header (the pre-envelope format) is as
+  // corrupt as a torn one.
+  EXPECT_EQ(unwrapDurableEntry(Payload, Out), EnvelopeResult::Corrupt);
   EXPECT_EQ(unwrapDurableEntry("", Out), EnvelopeResult::Empty);
 
   // Every corruption shape is detected before any parser sees the bytes.
@@ -832,6 +724,156 @@ TEST(EnvelopeTest, WrapUnwrapAndFailureTaxonomy) {
             ErrorCode::CacheVersionMismatch);
   EXPECT_EQ(envelopeErrorCode(EnvelopeResult::Empty),
             ErrorCode::CorruptCacheEntry);
+}
+
+//===----------------------------------------------------------------------===//
+// Entry layout, shared by both stores through cache::EntryStore.
+//===----------------------------------------------------------------------===//
+
+/// One persistent TraceCache holding one fixed entry.
+struct TraceUnderTest {
+  static constexpr const char *Ext = ".itc";
+  std::unique_ptr<TraceCache> S;
+  Fingerprint K = Fingerprinter().str("layout-trace").digest();
+  void open(const std::string &Dir, bool ScrubOnOpen) {
+    TraceCacheConfig C;
+    C.Persist = true;
+    C.Dir = Dir;
+    C.ScrubOnOpen = ScrubOnOpen;
+    S = std::make_unique<TraceCache>(C);
+  }
+  bool hit() { return S->lookup(K).has_value(); }
+  void put() {
+    CacheEntry E;
+    E.TraceText = "(trace)";
+    S->insert(K, E);
+  }
+};
+
+/// One persistent SideCondStore holding one fixed entry.
+struct SideCondUnderTest {
+  static constexpr const char *Ext = ".scc";
+  std::unique_ptr<SideCondStore> S;
+  std::string Closure = "(layout-closure)";
+  Fingerprint K = SideCondStore::key(Closure);
+  void open(const std::string &Dir, bool ScrubOnOpen) {
+    SideCondConfig C;
+    C.Persist = true;
+    C.Dir = Dir;
+    C.ScrubOnOpen = ScrubOnOpen;
+    S = std::make_unique<SideCondStore>(C);
+  }
+  bool hit() { return S->lookup(Closure).has_value(); }
+  void put() { S->store(Closure, smt::SolverCache::CachedResult()); }
+};
+
+/// Entries sit one level deep, in the shard named by the first two hex
+/// characters of their key.  A file outside its shard (the pre-sharding
+/// flat layout) or without the envelope header (the pre-envelope format) is
+/// never served: it is a miss, it is quarantined with a Diag — the flat
+/// one by the scrub a store runs on open — and the next store republishes
+/// the entry into its shard.
+template <typename Store> void checkShardedLayout() {
+  for (bool Flat : {false, true}) {
+    SCOPED_TRACE(std::string(Store::Ext) + (Flat ? " flat" : " headerless"));
+    TempDir Tmp;
+    std::string Dir = Tmp.Path.string();
+    Store U;
+    U.open(Dir, false);
+    U.put();
+    std::string Hex = U.K.toHex();
+    std::filesystem::path Shard = Tmp.Path / Hex.substr(0, 2) / (Hex + Store::Ext);
+    auto Files = entryFiles(Tmp.Path);
+    ASSERT_EQ(Files.size(), 1u);
+    EXPECT_EQ(Files[0], Shard);
+    std::string Payload;
+    ASSERT_EQ(unwrapDurableEntry(readFileRaw(Shard), Payload),
+              EnvelopeResult::Ok);
+
+    std::filesystem::path Stale = Shard;
+    if (Flat) {
+      Stale = Tmp.Path / Shard.filename();
+      std::filesystem::rename(Shard, Stale);
+    } else {
+      writeFileRaw(Shard, Payload);
+    }
+    // No clean-shutdown marker: a ScrubOnOpen store scrubs as it opens.
+    U.open(Dir, Flat);
+    EXPECT_FALSE(U.hit());
+    CacheStats St = U.S->stats();
+    EXPECT_EQ(St.Misses, 1u);
+    EXPECT_EQ(St.Quarantined, 1u);
+    auto Ds = U.S->drainDiags();
+    ASSERT_EQ(Ds.size(), 1u);
+    EXPECT_EQ(Ds[0].Code, Flat ? support::ErrorCode::CorruptCacheEntry
+                               : support::ErrorCode::ChecksumMismatch);
+    EXPECT_FALSE(std::filesystem::exists(Stale));
+    EXPECT_TRUE(
+        std::filesystem::exists(Tmp.Path / "quarantine" / Shard.filename()));
+
+    U.put();
+    EXPECT_EQ(U.S->stats().DiskWrites, 1u);
+    std::string Out;
+    ASSERT_EQ(unwrapDurableEntry(readFileRaw(Shard), Out), EnvelopeResult::Ok);
+    EXPECT_EQ(Out, Payload);
+  }
+}
+
+TEST(EntryStoreTest, ShardedLayoutQuarantinesFlatAndHeaderlessFiles) {
+  checkShardedLayout<TraceUnderTest>();
+  checkShardedLayout<SideCondUnderTest>();
+}
+
+// Scrub and generation GC resolve entries through the same layout the
+// stores publish with: every published entry is found and accounted for.
+TEST(EntryStoreTest, ScrubAndGcAccountForEveryPublishedEntry) {
+  TempDir Tmp;
+  const std::string TraceDir = Tmp.Path.string();
+  const std::string SideDir = TraceDir + "/sidecond";
+  Fingerprint Model = Fingerprinter().str("layout-model-v1").digest();
+  constexpr unsigned N = 5;
+  {
+    TraceCacheConfig TC;
+    TC.Persist = true;
+    TC.Dir = TraceDir;
+    TraceCache C(TC);
+    SideCondConfig SC;
+    SC.Persist = true;
+    SC.Dir = SideDir;
+    SideCondStore S(SC);
+    SaltedSolverCache Salted(S, Model);
+    for (unsigned I = 0; I < N; ++I) {
+      Fingerprint K = Fingerprinter().str("gc-trace").u64(I).digest();
+      CacheEntry E;
+      E.TraceText = "(trace)";
+      ASSERT_TRUE(C.insert(K, E));
+      // What BatchDriver records for a fresh execution.
+      recordEntryGeneration(TraceDir, Model, K);
+      smt::SolverCache::CachedResult R;
+      R.Sat = I % 2;
+      Salted.store("(goal " + std::to_string(I) + ")", R);
+    }
+    EXPECT_EQ(C.stats().DiskWrites, N);
+    EXPECT_EQ(S.stats().DiskWrites, N);
+  }
+
+  for (const std::string &Dir : {TraceDir, SideDir}) {
+    ScrubOptions SO;
+    SO.Dir = Dir;
+    ScrubReport Rep = scrubStore(SO);
+    EXPECT_EQ(Rep.OkEntries, N) << Dir;
+    EXPECT_TRUE(Rep.clean()) << Dir;
+
+    // A newer model retires the generation every entry was minted under.
+    touchGeneration(Dir, Fingerprinter().str("layout-model-v2").digest());
+    GenerationGcOptions GO;
+    GO.Dir = Dir;
+    GO.KeepGenerations = 1;
+    GenerationGcReport Gc = gcGenerations(GO);
+    EXPECT_EQ(Gc.Retired, 1u) << Dir;
+    EXPECT_EQ(Gc.EntriesRemoved, N) << Dir;
+    EXPECT_EQ(scrubStore(SO).OkEntries, 0u) << Dir;
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -939,7 +981,7 @@ TEST(CorruptionMatrixTest, SideCondStoreDetectsAttributesAndQuarantines) {
 
     SideCondStore S2(Cfg);
     EXPECT_FALSE(S2.lookup("goal-closure").has_value()) << TC.What;
-    SideCondStats St = S2.stats();
+    CacheStats St = S2.stats();
     EXPECT_EQ(St.Misses, 1u) << TC.What;
     EXPECT_EQ(St.CorruptRemoved, 1u) << TC.What;
     EXPECT_EQ(St.Quarantined, 1u) << TC.What;
@@ -1203,57 +1245,64 @@ TEST(RunJournalTest, UnopenablePathFailsCleanly) {
 // Scrub and compaction.
 //===----------------------------------------------------------------------===//
 
-TEST(ScrubTest, MigratesLegacyFormatAndPlacementIntoShards) {
+TEST(ScrubTest, QuarantinesHeaderlessAndMisplacedEntries) {
   TempDir Tmp;
   TraceCacheConfig Cfg;
   Cfg.Persist = true;
   Cfg.Dir = Tmp.Path.string();
-  Fingerprint K = Fingerprinter().str("legacy-entry").digest();
+  std::vector<Fingerprint> Keys;
+  for (const char *Name : {"headerless", "flat", "wrong-shard"})
+    Keys.push_back(Fingerprinter().str(Name).digest());
   CacheEntry E;
   E.TraceText = "(trace)";
   {
     TraceCache C(Cfg);
-    C.insert(K, E);
+    for (const Fingerprint &K : Keys)
+      C.insert(K, E);
   }
-  auto Files = entryFiles(Tmp.Path);
-  ASSERT_EQ(Files.size(), 1u);
-  std::string Hex = K.toHex();
+  auto ShardPath = [&](const Fingerprint &K) {
+    std::string Hex = K.toHex();
+    return Tmp.Path / Hex.substr(0, 2) / (Hex + ".itc");
+  };
 
-  // Regress the entry to what an old version would have left: headerless
-  // payload, flat at the store root.
+  // What older versions left behind: a headerless payload in its shard,
+  // an entry flat at the store root, and one in a shard it does not belong
+  // to.  None of them is ever looked up, so all three are dead weight.
+  std::vector<std::filesystem::path> Stale;
   std::string Payload;
-  ASSERT_EQ(unwrapDurableEntry(readFileRaw(Files[0]), Payload),
+  ASSERT_EQ(unwrapDurableEntry(readFileRaw(ShardPath(Keys[0])), Payload),
             EnvelopeResult::Ok);
-  std::filesystem::remove(Files[0]);
-  std::filesystem::path Flat = Tmp.Path / (Hex + ".itc");
-  writeFileRaw(Flat, Payload);
+  writeFileRaw(ShardPath(Keys[0]), Payload);
+  Stale.push_back(ShardPath(Keys[0]));
+  Stale.push_back(Tmp.Path / ShardPath(Keys[1]).filename());
+  std::filesystem::rename(ShardPath(Keys[1]), Stale.back());
+  std::string Hex2 = Keys[2].toHex();
+  std::string OtherShard = Hex2[0] == '0' ? "ff" : "00";
+  std::filesystem::create_directories(Tmp.Path / OtherShard);
+  Stale.push_back(Tmp.Path / OtherShard / (Hex2 + ".itc"));
+  std::filesystem::rename(ShardPath(Keys[2]), Stale.back());
 
   ScrubOptions O;
   O.Dir = Tmp.Path.string();
   ScrubReport Rep = scrubStore(O);
-  EXPECT_EQ(Rep.LegacyMigrated, 1u);
-  EXPECT_EQ(Rep.Quarantined, 0u);
-  EXPECT_TRUE(Rep.clean());
+  EXPECT_EQ(Rep.Quarantined, 3u);
+  EXPECT_EQ(Rep.OkEntries, 0u);
+  EXPECT_FALSE(Rep.clean());
+  for (const std::filesystem::path &P : Stale) {
+    EXPECT_FALSE(std::filesystem::exists(P)) << P;
+    EXPECT_TRUE(std::filesystem::exists(Tmp.Path / "quarantine" /
+                                        P.filename()))
+        << P;
+  }
 
-  // Migrated into its shard, enveloped, payload byte-identical; flat copy
-  // retired.
-  EXPECT_FALSE(std::filesystem::exists(Flat));
-  std::filesystem::path Shard = Tmp.Path / Hex.substr(0, 2) / (Hex + ".itc");
-  ASSERT_TRUE(std::filesystem::exists(Shard));
-  std::string Out;
-  EXPECT_EQ(unwrapDurableEntry(readFileRaw(Shard), Out), EnvelopeResult::Ok);
-  EXPECT_EQ(Out, Payload);
-
-  TraceCache C2(Cfg);
-  auto Hit = C2.lookup(K);
-  ASSERT_TRUE(Hit.has_value());
-  EXPECT_EQ(Hit->TraceText, E.TraceText);
-
-  // A second pass is a fixpoint.
+  // A second pass is a fixpoint, and the store heals on the next publish.
   ScrubReport Rep2 = scrubStore(O);
-  EXPECT_EQ(Rep2.LegacyMigrated, 0u);
-  EXPECT_EQ(Rep2.OkEntries, 1u);
+  EXPECT_EQ(Rep2.Quarantined, 0u);
   EXPECT_TRUE(Rep2.clean());
+  TraceCache C2(Cfg);
+  EXPECT_FALSE(C2.lookup(Keys[0]).has_value());
+  C2.insert(Keys[0], E);
+  EXPECT_TRUE(std::filesystem::exists(ShardPath(Keys[0])));
 }
 
 TEST(ScrubTest, QuarantinesCorruptAndMisnamedEntries) {
@@ -1358,10 +1407,6 @@ TEST(ScrubTest, DryRunReportsWithoutMutating) {
   std::filesystem::path Stale = BadPath;
   Stale += ".tmp.999.1";
   writeFileRaw(Stale, "stale");
-  // A legacy flat headerless entry to (not) migrate.
-  Fingerprint Leg = Fingerprinter().str("dry-legacy").digest();
-  std::filesystem::path Flat = Tmp.Path / (Leg.toHex() + ".itc");
-  writeFileRaw(Flat, TraceCache::serializeEntry(Leg, E));
 
   ScrubOptions Dry;
   Dry.Dir = Tmp.Path.string();
@@ -1369,12 +1414,10 @@ TEST(ScrubTest, DryRunReportsWithoutMutating) {
   ScrubReport Rep = scrubStore(Dry);
   EXPECT_EQ(Rep.TempsRemoved, 1u);
   EXPECT_EQ(Rep.Quarantined, 1u);
-  EXPECT_EQ(Rep.LegacyMigrated, 1u);
   EXPECT_EQ(Rep.OkEntries, 1u);
-  // ...but nothing moved: same corrupt bytes, same temp, same flat file.
+  // ...but nothing moved: same corrupt bytes, same temp.
   EXPECT_TRUE(std::filesystem::exists(BadPath));
   EXPECT_TRUE(std::filesystem::exists(Stale));
-  EXPECT_TRUE(std::filesystem::exists(Flat));
   EXPECT_FALSE(std::filesystem::exists(Tmp.Path / "quarantine"));
 
   // The wet pass then performs exactly what the dry pass promised.
@@ -1382,17 +1425,15 @@ TEST(ScrubTest, DryRunReportsWithoutMutating) {
   ScrubReport Wet = scrubStore(Dry);
   EXPECT_EQ(Wet.TempsRemoved, 1u);
   EXPECT_EQ(Wet.Quarantined, 1u);
-  EXPECT_EQ(Wet.LegacyMigrated, 1u);
   EXPECT_FALSE(std::filesystem::exists(Stale));
-  EXPECT_FALSE(std::filesystem::exists(Flat));
   EXPECT_TRUE(std::filesystem::exists(Tmp.Path / "quarantine"));
 }
 
-TEST(ScrubTest, NestedSiblingStoreIsNotOursToMigrate) {
+TEST(ScrubTest, NestedSiblingStoreIsNotOursToScrub) {
   // cachectl scrubs the trace store at the root with the side-condition
   // store nested at <root>/sidecond.  The trace-store pass must not
-  // descend into it: its entries would look "misplaced" relative to the
-  // trace root and a wet scrub would relocate them — wiping the store.
+  // descend into it: its entries would look misplaced relative to the
+  // trace root and a wet scrub would quarantine them — wiping the store.
   TempDir Tmp;
   TraceCacheConfig Cfg;
   Cfg.Persist = true;
@@ -1416,7 +1457,6 @@ TEST(ScrubTest, NestedSiblingStoreIsNotOursToMigrate) {
   ScrubReport Rep = scrubStore(SO);
   EXPECT_EQ(Rep.FilesScanned, 1u); // the trace entry only
   EXPECT_EQ(Rep.OkEntries, 1u);
-  EXPECT_EQ(Rep.LegacyMigrated, 0u);
   EXPECT_TRUE(Rep.clean());
   EXPECT_TRUE(std::filesystem::exists(Nested)); // untouched, in place
 

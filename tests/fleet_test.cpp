@@ -157,65 +157,6 @@ TEST(FleetHealthTest, ProbeReportsReadinessFields) {
   EXPECT_GE(S.stats().HealthRequests, 1u);
 }
 
-TEST(FleetHealthTest, ProtocolV2PeerHandshakesButHealthErrors) {
-  TempDir D;
-  server::Server S(daemonConfig(D, "a.sock"));
-  std::string Err;
-  ASSERT_TRUE(S.start(Err)) << Err;
-
-  // Hand-rolled protocol-2 peer: the negotiated welcome must echo 2, and
-  // the kinds added in 3 must die as malformed (exactly what a real
-  // protocol-2 server would answer), not crash or hang the daemon.
-  int Fd = server::connectSpec(D.Path + "/a.sock", 2, Err);
-  ASSERT_GE(Fd, 0) << Err;
-
-  server::HelloInfo H;
-  H.Version = 2;
-  H.ClientName = "v2-relic";
-  std::string Wire =
-      server::encodeFrame({server::FrameType::Hello, server::encodeHello(H)});
-  ASSERT_EQ(::write(Fd, Wire.data(), Wire.size()), ssize_t(Wire.size()));
-
-  server::FrameReader R;
-  auto NextFrame = [&](server::Frame &F) {
-    char Buf[512];
-    for (;;) {
-      if (R.next(F) == server::FrameReader::Status::Frame)
-        return true;
-      ssize_t N = ::read(Fd, Buf, sizeof Buf);
-      if (N <= 0)
-        return false;
-      R.feed(Buf, size_t(N));
-    }
-  };
-
-  server::Frame F;
-  ASSERT_TRUE(NextFrame(F));
-  ASSERT_EQ(F.Type, server::FrameType::Welcome);
-  support::wire::Cursor Cur(F.Payload);
-  EXPECT_EQ(Cur.u64(), 2u); // negotiated down to the client's version
-
-  server::Request Req;
-  Req.Id = 1;
-  Req.K = server::Request::Kind::Health;
-  Wire = server::encodeFrame(
-      {server::FrameType::Request, server::encodeRequest(Req)});
-  ASSERT_EQ(::write(Fd, Wire.data(), Wire.size()), ssize_t(Wire.size()));
-
-  bool SawError = false;
-  while (NextFrame(F)) {
-    if (F.Type == server::FrameType::Heartbeat)
-      continue;
-    SawError = F.Type == server::FrameType::Error;
-    break;
-  }
-  EXPECT_TRUE(SawError);
-  ::close(Fd);
-
-  S.requestShutdown();
-  S.wait();
-}
-
 //===----------------------------------------------------------------------===//
 // Hot model reload.
 //===----------------------------------------------------------------------===//

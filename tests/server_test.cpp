@@ -287,18 +287,21 @@ TEST(ServerTest, WrongProtocolVersionGetsErrorAndClose) {
   std::string Err;
   ASSERT_TRUE(S.start(Err)) << Err;
 
-  server::Client C;
-  ASSERT_TRUE(C.connect(S.socketPath(), Err)) << Err;
-  // A hello claiming a future protocol version must be answered with an
-  // error frame and a close, not silence.
-  std::ostringstream OS;
-  support::wire::putU64(OS, server::ProtocolVersion + 41);
-  ASSERT_TRUE(C.send({server::FrameType::Hello, OS.str()}, Err)) << Err;
-  server::Frame F;
-  ASSERT_TRUE(C.recv(F, Err)) << Err;
-  EXPECT_EQ(F.Type, server::FrameType::Error);
-  EXPECT_NE(F.Payload.find("version"), std::string::npos) << F.Payload;
-  EXPECT_FALSE(C.recv(F, Err)); // connection closed
+  // A hello claiming any version but the server's own — a future one, or
+  // the older protocol 2 — must be answered with an error frame and a
+  // close, not silence.
+  for (uint64_t Version : {server::ProtocolVersion + 41, uint64_t(2)}) {
+    server::Client C;
+    ASSERT_TRUE(C.connect(S.socketPath(), Err)) << Err;
+    std::ostringstream OS;
+    support::wire::putU64(OS, Version);
+    ASSERT_TRUE(C.send({server::FrameType::Hello, OS.str()}, Err)) << Err;
+    server::Frame F;
+    ASSERT_TRUE(C.recv(F, Err)) << Err;
+    EXPECT_EQ(F.Type, server::FrameType::Error) << Version;
+    EXPECT_NE(F.Payload.find("version"), std::string::npos) << F.Payload;
+    EXPECT_FALSE(C.recv(F, Err)) << Version; // connection closed
+  }
 
   S.requestShutdown();
   S.wait();
@@ -565,6 +568,40 @@ TEST(ServerTest, FreshThenWarmBitIdenticalAndMatchesDirectDriver) {
   ASSERT_TRUE(R.front().Ok) << R.front().Error;
   EXPECT_EQ(cache::TraceCache::serializeEntry(R.front().Key, R.front().Entry),
             First.EntryText);
+}
+
+// The batch driver serves warm keys and executes the rest, so each request
+// looks the trace cache up exactly once: a fresh request counts one miss,
+// a warm one counts one hit.
+TEST(ServerTest, EachTraceRequestLooksTheCacheUpOnce) {
+  TempDir D;
+  server::Server S(baseConfig(D));
+  std::string Err;
+  ASSERT_TRUE(S.start(Err)) << Err;
+  server::Client C;
+  ASSERT_TRUE(C.connect(S.socketPath(), Err)) << Err;
+
+  server::TraceRequest T = addImm(0x124);
+  server::Client::TraceResult R;
+  ASSERT_TRUE(C.runTrace(T, R, Err)) << Err;
+  ASSERT_TRUE(R.Ok) << R.Done.Error;
+  EXPECT_EQ(R.Done.Source, "fresh");
+  cache::CacheStats St = S.traceCache()->stats();
+  EXPECT_EQ(St.Misses, 1u);
+  EXPECT_EQ(St.Hits + St.DiskHits, 0u);
+
+  ASSERT_TRUE(C.runTrace(T, R, Err)) << Err;
+  ASSERT_TRUE(R.Ok) << R.Done.Error;
+  EXPECT_EQ(R.Done.Source, "warm");
+  St = S.traceCache()->stats();
+  EXPECT_EQ(St.Misses, 1u);
+  EXPECT_EQ(St.Hits, 1u);
+  EXPECT_EQ(St.DiskHits, 0u);
+  EXPECT_EQ(S.stats().Executed, 1u);
+  EXPECT_EQ(S.stats().WarmHits, 1u);
+
+  S.requestShutdown();
+  S.wait();
 }
 
 TEST(ServerTest, CaseStudyStreamsRowsOverTheWire) {
